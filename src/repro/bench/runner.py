@@ -328,7 +328,7 @@ class PerfPoint:
     #: points; the CLI ``--reads`` flag overrides it).
     txn_read_ratio: float = 0.0
     #: Total scheduled operations for ``kind="engine"`` points (split
-    #: between the wheel-friendly and wheel-hostile distributions).
+    #: between the clustered and spread-out delay distributions).
     engine_ops: int = 120_000
     #: Total sends for ``kind="switch"`` points (split between the skewed
     #: and uniform lane-load distributions).
@@ -391,12 +391,12 @@ PERF_POINTS: Dict[str, PerfPoint] = {
         repeats=3,
     ),
     # The event engine alone, no protocol: a deterministic schedule/cancel/
-    # drain mix at a wheel-friendly distribution (delays clustered at
-    # link/CPU scale) and a wheel-hostile one (uniform 0-250 ms, overflow/
-    # cascade dominated).  The digest pins the fired trace, so engine
-    # ordering regressions are caught independently of protocol workloads.
+    # drain mix with delays clustered at link/CPU scale and with delays
+    # spread uniformly over 0-250 ms (a deep, wide heap).  The digest pins
+    # the fired trace, so engine ordering regressions are caught
+    # independently of protocol workloads.
     "engine-microbench": PerfPoint(
-        label="engine-wheel-mix",
+        label="engine-mix",
         system="engine",
         kind="engine",
         rate_hz=0.0,
@@ -411,7 +411,7 @@ PERF_POINTS: Dict[str, PerfPoint] = {
     # a uniform one (every lane shallow — index maintenance dominates).
     # The digest pins the delivery trace, so lane-index regressions surface
     # in isolation from protocol noise, exactly as engine-microbench does
-    # for the timer wheel.
+    # for the event engine.
     "switch-drain": PerfPoint(
         label="switch-lane-merge-mix",
         system="network",
@@ -440,27 +440,23 @@ PERF_POINTS: Dict[str, PerfPoint] = {
 }
 
 
-def _drive_engine_mix(loop_cls: type, ops: int, seed: int, hostile: bool) -> Tuple[Any, List[tuple]]:
-    """Drive one event engine through a deterministic schedule/cancel/drain mix.
+def _drive_engine_mix(ops: int, seed: int, hostile: bool) -> Tuple[Any, List[tuple]]:
+    """Drive an event loop through a deterministic schedule/cancel/drain mix.
 
-    The mix is the engine micro-benchmark *and* the differential-test
-    driver: it returns the loop plus the fired ``(tag, time)`` trace, and
-    because both engines execute any schedule stream in the identical
-    ``(time, priority, seq)`` order, the trace — including the RNG draws
-    made from inside callbacks — must be byte-identical between
-    :class:`repro.sim.engine.EventLoop` and
-    :class:`repro.sim.engine.HeapEventLoop`.
+    The mix is the engine micro-benchmark: it returns the loop plus the
+    fired ``(tag, time)`` trace, whose digest pins the engine's
+    ``(time, priority, seq)`` execution order — including the RNG draws
+    made from inside callbacks — independently of the protocol workloads.
 
     ``hostile=False`` clusters delays at link/CPU scale (tens of µs), the
-    regime the wheel is built for: high bucket occupancy, near-zero
-    overflow.  ``hostile=True`` spreads delays uniformly over 0–250 ms,
-    far past the ~33 ms wheel horizon, so most inserts land in the
-    overflow heap and the run is dominated by cascades — the wheel's
-    worst case, tracked so a regression there is caught independently of
-    the protocol workloads.
+    shape of the network hot path: a shallow heap with many near-ties.
+    ``hostile=True`` spreads delays uniformly over 0–250 ms, like
+    heartbeats and long timeouts: a deep heap with wide time gaps.
     """
+    from repro.sim.engine import EventLoop
+
     rng = random.Random(seed)
-    loop = loop_cls()
+    loop = EventLoop()
     trace: List[tuple] = []
     chain_budget = ops // 3
 
@@ -489,8 +485,8 @@ def _drive_engine_mix(loop_cls: type, ops: int, seed: int, hostile: bool) -> Tup
             if len(pending) >= 8 and rng.random() < 0.5:
                 pending.pop(rng.randrange(len(pending))).cancel()
         if index & 1023 == 1023:
-            # Interleave draining with scheduling so inserts hit every
-            # regime (before base, in-wheel, overflow) at a moving base.
+            # Interleave draining with scheduling so inserts land both
+            # near and far from a moving clock.
             loop.run_until(loop.now + (0.05 if hostile else 0.002))
     loop.run()
     return loop, trace
@@ -503,33 +499,29 @@ def _run_engine_microbench(point: PerfPoint) -> Tuple[int, str, int]:
     distributions, so the CI digest gate pins the engine's execution
     *order* exactly as the workload points pin commit logs.
     """
-    from repro.sim.engine import EventLoop
-
     events = 0
     fired = 0
     digest = hashlib.sha256()
     for hostile in (False, True):
-        loop, trace = _drive_engine_mix(EventLoop, point.engine_ops // 2, point.seed + hostile, hostile)
+        loop, trace = _drive_engine_mix(point.engine_ops // 2, point.seed + hostile, hostile)
         events += loop.processed_events
         fired += len(trace)
         digest.update(repr(trace).encode("utf-8"))
     return events, digest.hexdigest(), fired
 
 
-def _drive_switch_drain_mix(
-    loop_cls: type, ops: int, seed: int, skewed: bool
-) -> Tuple[Any, List[tuple]]:
+def _drive_switch_drain_mix(ops: int, seed: int, skewed: bool) -> Tuple[Any, List[tuple]]:
     """Drive the switch-lane merge through a deterministic cross-rack send mix.
 
     Builds a two-tier tree (3 racks x 8 hosts behind ToR switches behind
     one spine) so every lane flavour is on the path: host-link lanes into
     the ToRs, ToR lanes into the spine, and spine lanes back down — the
     exact structures ``Switch._drain_to`` merges through the persistent
-    lane index.  Like :func:`_drive_engine_mix` it doubles as the
-    micro-benchmark and the differential-test driver: it returns the loop
+    lane index.  It doubles as the micro-benchmark and the
+    differential-test driver: it returns the loop
     plus the delivered ``(dst, src, tag, time)`` trace, which must be
     byte-identical between the lazy lane-index delivery and the eager
-    reference (demoted lanes / :class:`HeapEventLoop`).
+    reference (demoted lanes).
 
     ``skewed=True`` concentrates sends on a few hot talkers (cubed draw:
     roughly half the traffic from the first ~5 hosts), so a handful of
@@ -540,11 +532,12 @@ def _drive_switch_drain_mix(
     the pushes so drains hit mid-window caps, dry lanes, and reopened
     head groups.
     """
+    from repro.sim.engine import EventLoop
     from repro.sim.network import Network
 
     racks, per_rack = 3, 8
     rng = random.Random(seed)
-    loop = loop_cls()
+    loop = EventLoop()
     net = Network(loop)
     names: List[str] = []
     for rack in range(racks):
@@ -588,17 +581,13 @@ def _run_switch_drain_microbench(point: PerfPoint) -> Tuple[int, str, int]:
 
     The digest fingerprints the delivered traces of both lane-load
     distributions, so the CI digest gate pins the merged forward *order*
-    exactly as engine-microbench pins the timer wheel's fired order.
+    exactly as engine-microbench pins the event engine's fired order.
     """
-    from repro.sim.engine import EventLoop
-
     events = 0
     delivered = 0
     digest = hashlib.sha256()
     for skewed in (True, False):
-        loop, trace = _drive_switch_drain_mix(
-            EventLoop, point.drain_ops // 2, point.seed + skewed, skewed
-        )
+        loop, trace = _drive_switch_drain_mix(point.drain_ops // 2, point.seed + skewed, skewed)
         events += loop.processed_events
         delivered += len(trace)
         digest.update(repr(trace).encode("utf-8"))

@@ -1,7 +1,19 @@
-"""Unit tests for the discrete-event engine."""
+"""Unit tests for the discrete-event engine.
+
+The byte-identical-log contract rests on one invariant: the loop executes
+any schedule stream in ``(time, priority, seq)`` order.  Besides the unit
+cases, :class:`TestOrderOracle` checks that invariant against a sort
+oracle over seeded random streams, including lazy cancellation and
+callbacks that schedule more events.
+"""
+
+import math
+import random
+from functools import partial
 
 import pytest
 
+from repro.bench.runner import _drive_engine_mix
 from repro.sim.engine import EventLoop, SimulationError, Simulator
 
 
@@ -102,14 +114,6 @@ class TestEventLoop:
         loop.run()
         assert fired == [1.0, 2.0, 3.0]
 
-    def test_max_events_bound(self):
-        loop = EventLoop()
-        fired = []
-        for i in range(10):
-            loop.schedule(i + 1.0, lambda i=i: fired.append(i))
-        loop.run(max_events=4)
-        assert len(fired) == 4
-
     def test_processed_events_counter(self):
         loop = EventLoop()
         for i in range(5):
@@ -124,6 +128,194 @@ class TestEventLoop:
         loop.schedule(2.0, lambda: fired.append(2))
         loop.run()
         assert fired == [1]
+
+    def test_callback_cancels_event_at_same_instant(self):
+        loop = EventLoop()
+        fired = []
+        victim = loop.schedule_at(1e-5, lambda: fired.append("victim"), priority=9)
+        loop.schedule_at(1e-5, lambda: victim.cancel(), priority=1)
+        loop.run()
+        assert fired == []
+        assert len(loop) == 0
+
+    def test_self_cancel_after_firing_does_not_double_decrement(self):
+        loop = EventLoop()
+        holder = {}
+        other = loop.schedule_at(2e-5, lambda: None)
+
+        def fire_and_cancel_self():
+            holder["event"].cancel()  # already consumed: must be a no-op
+
+        holder["event"] = loop.schedule_at(1e-5, fire_and_cancel_self)
+        assert len(loop) == 2
+        loop.run_until(1.5e-5)
+        assert len(loop) == 1  # only ``other`` remains live
+        other.cancel()
+        assert len(loop) == 0
+
+    def test_double_cancel_is_idempotent(self):
+        loop = EventLoop()
+        event = loop.schedule_at(1e-5, lambda: None)
+        loop.schedule_at(2e-5, lambda: None)
+        event.cancel()
+        event.cancel()
+        assert len(loop) == 1
+
+    def test_priority_then_seq_at_one_instant(self):
+        """Many events at one instant drain in (priority, seq) order."""
+        rng = random.Random(13)
+        plan = [(rng.randrange(16), index) for index in range(200)]
+        loop = EventLoop()
+        order = []
+        for priority, index in plan:
+            loop.schedule_at(6e-5, lambda i=index: order.append(i), priority=priority)
+        loop.run()
+        assert order == [index for _, index in sorted(plan)]
+
+    def test_fast_and_event_entries_interleave_by_seq(self):
+        """schedule_fast entries share the seq counter with Event entries."""
+        loop = EventLoop()
+        order = []
+        loop.schedule_fast(1e-5, lambda: order.append("fast-0"), 5)
+        loop.schedule_at(1e-5, lambda: order.append("event-1"), priority=5)
+        loop.schedule_fast(1e-5, lambda: order.append("fast-2"), 5)
+        loop.run()
+        assert order == ["fast-0", "event-1", "fast-2"]
+
+    def test_cancelled_entries_drained_by_run_leave_len_zero(self):
+        """Cancelled entries stay in the heap but leave the count."""
+        loop = EventLoop()
+        near = loop.schedule_at(3e-5, lambda: None)
+        far = loop.schedule_at(0.5, lambda: None)
+        live = loop.schedule_at(8e-5, lambda: None)
+        assert len(loop) == 3
+        near.cancel()
+        far.cancel()
+        assert len(loop) == 1
+        live.cancel()
+        assert len(loop) == 0
+        loop.run()  # draining ghosts must not fire or go negative
+        assert len(loop) == 0
+        assert loop.processed_events == 0
+
+
+class _OracleStream:
+    """A seeded random schedule stream that predicts its own fire order.
+
+    Every ``schedule_at`` / ``schedule_fast`` call is logged as its
+    ``(time, priority, seq)`` key.  Times sit on an exact binary grid so
+    many entries share an instant, and every entry is scheduled strictly
+    after the moment that scheduled it, so the loop's contract reduces to
+    a sort: the fired entries are the logged ones, minus those cancelled
+    before their turn, in key order.  ``cancel()`` calls record the key of
+    the moment they ran (the firing entry, or the last window edge) so
+    the oracle can tell an effective cancel from a late one.
+    """
+
+    GRID = 2.0**-12
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+        self.loop = EventLoop()
+        self.log = []  # key per schedule call, indexed by seq
+        self.cancelled = {}  # seq -> key of the moment of its first cancel()
+        self.events = []  # (seq, Event) for every schedule_at entry
+        self.fired = []
+        self.moment = (-math.inf, 0, 0)
+
+    def schedule(self, after_slot, spread):
+        rng = self.rng
+        when = (after_slot + rng.randrange(1, spread + 1)) * self.GRID
+        priority = rng.randrange(4)
+        seq = len(self.log)
+        self.log.append((when, priority, seq))
+        if rng.random() < 0.5:
+            self.loop.schedule_fast(when, partial(self.fire, seq), priority)
+        else:
+            event = self.loop.schedule_at(when, partial(self.fire, seq), priority=priority)
+            assert event.seq == seq
+            self.events.append((seq, event))
+
+    def cancel_one(self):
+        # Targets may already have fired or been cancelled: late and double
+        # cancels must be no-ops.
+        seq, event = self.rng.choice(self.events)
+        self.cancelled.setdefault(seq, self.moment)
+        event.cancel()
+
+    def fire(self, seq):
+        key = self.log[seq]
+        assert self.loop.now == key[0]
+        self.fired.append(seq)
+        self.moment = key
+        slot = round(key[0] / self.GRID)
+        for _ in range(self.rng.choice((0, 0, 1, 2))):
+            self.schedule(slot, 6)
+        if self.events and self.rng.random() < 0.2:
+            self.cancel_one()
+
+    def live_keys(self):
+        # A cancel at or after the entry's own turn (self-cancel included)
+        # is late and leaves it fired.
+        return [
+            key
+            for key in self.log
+            if key[2] not in self.cancelled or self.cancelled[key[2]] >= key
+        ]
+
+    def predict(self, edge):
+        """``(now, processed_events, len(loop))`` after ``run_until(edge)``."""
+        live = self.live_keys()
+        due = sum(1 for key in live if key[0] <= edge)
+        return (edge, due, len(live) - due)
+
+    def drive(self, edges):
+        """Schedule, cancel and drain window by window; returns the
+        observed and predicted edge snapshots."""
+        loop = self.loop
+        observed, predicted = [], []
+        slot = 0
+        for edge in edges:
+            for _ in range(60):
+                self.schedule(slot, 40)
+            for _ in range(6):
+                self.cancel_one()
+            loop.run_until(edge)
+            observed.append((loop.now, loop.processed_events, len(loop)))
+            predicted.append(self.predict(edge))
+            self.moment = (edge, math.inf, math.inf)
+            slot = math.floor(edge / self.GRID)
+        loop.run()
+        return observed, predicted
+
+
+class TestOrderOracle:
+    """The loop against a sort oracle over seeded random streams."""
+
+    # Window edges in grid slots: on grid points (inclusive edges) and
+    # between them.
+    EDGES = (5, 11.5, 24, 24.25, 50, 90.5)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7, 42])
+    def test_fired_order_is_the_sorted_live_schedule(self, seed):
+        stream = _OracleStream(seed)
+        edges = [slot * _OracleStream.GRID for slot in self.EDGES]
+        observed, predicted = stream.drive(edges)
+        assert observed == predicted
+        expected = [key[2] for key in sorted(stream.live_keys())]
+        assert stream.fired == expected
+        assert len(stream.fired) < len(stream.log)  # some cancels took effect
+        assert stream.loop.processed_events == len(expected)
+        assert len(stream.loop) == 0
+
+    @pytest.mark.parametrize("hostile", [False, True])
+    def test_engine_mix_fires_in_time_order(self, hostile):
+        """The engine-microbench driver's fire trace never goes back in time."""
+        loop, trace = _drive_engine_mix(1500, 7, hostile)
+        times = [when for _, when in trace]
+        assert times == sorted(times)
+        assert len(trace) == loop.processed_events
+        assert len(loop) == 0
 
 
 class TestSimulator:

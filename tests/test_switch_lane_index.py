@@ -9,10 +9,9 @@ randomized tree topologies through randomized push/drain interleavings
 and reopened head groups — in both configurations and require
 byte-identical delivery traces plus agreeing engine accounting
 ``(now, processed_events, len(loop))`` at every window edge.  The same
-driver also runs on :class:`HeapEventLoop`, pinning the lane machinery
-against the pre-wheel engine, and through a *mid-run* demotion, pinning
-the spill path ``_demote_lanes`` takes when lazy forwarding becomes
-unsound while lanes hold backlog.
+driver also runs through a *mid-run* demotion, pinning the spill path
+``_demote_lanes`` takes when lazy forwarding becomes unsound while lanes
+hold backlog.
 """
 
 import random
@@ -20,7 +19,7 @@ import random
 import pytest
 
 from repro.bench.runner import _drive_switch_drain_mix
-from repro.sim.engine import EventLoop, HeapEventLoop
+from repro.sim.engine import EventLoop
 from repro.sim.network import Network
 
 
@@ -130,32 +129,12 @@ class TestLaneIndexVsEagerDifferential:
         _assert_traces_equivalent(lazy_trace, eager_trace)
         assert lazy_edges == eager_edges
 
-    @pytest.mark.parametrize("seed", [3, 17])
-    def test_heap_reference_engine_agrees(self, seed):
-        """The lane machinery runs identically on the pre-wheel engine."""
-        results = []
-        for loop_cls in (EventLoop, HeapEventLoop):
-            loop = loop_cls()
-            net = Network(loop)
-            names = _build_random_tree(net, random.Random(seed))
-            results.append(_drive(net, loop, names, seed))
-        assert results[0] == results[1]
-
-    @pytest.mark.parametrize("skewed", [False, True])
-    def test_drain_mix_driver_matches_heap_reference(self, skewed):
-        """The switch-drain microbench driver itself is differential-clean."""
-        wheel_loop, wheel_trace = _drive_switch_drain_mix(EventLoop, 3000, 5, skewed)
-        heap_loop, heap_trace = _drive_switch_drain_mix(HeapEventLoop, 3000, 5, skewed)
-        assert wheel_trace == heap_trace
-        assert wheel_loop.processed_events == heap_loop.processed_events
-        assert wheel_loop.now == heap_loop.now
-
     @pytest.mark.parametrize("skewed", [False, True])
     def test_drain_mix_driver_matches_eager(self, skewed, monkeypatch):
         """Skewed/uniform lane loads deliver in the eager merged order."""
         import repro.sim.network as network_module
 
-        lazy_loop, lazy_trace = _drive_switch_drain_mix(EventLoop, 3000, 5, skewed)
+        lazy_loop, lazy_trace = _drive_switch_drain_mix(3000, 5, skewed)
 
         class _EagerNetwork(Network):
             """Every link addition immediately re-demotes all lanes, so the
@@ -167,7 +146,7 @@ class TestLaneIndexVsEagerDifferential:
 
         # The driver resolves Network at call time from the sim module.
         monkeypatch.setattr(network_module, "Network", _EagerNetwork)
-        eager_loop, eager_trace = _drive_switch_drain_mix(EventLoop, 3000, 5, skewed)
+        eager_loop, eager_trace = _drive_switch_drain_mix(3000, 5, skewed)
         assert lazy_trace == eager_trace
         assert lazy_loop.processed_events == eager_loop.processed_events
 
