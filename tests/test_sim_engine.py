@@ -182,6 +182,54 @@ class TestEventLoop:
         loop.run()
         assert order == ["fast-0", "event-1", "fast-2"]
 
+    def test_callback_cancels_later_pending_event(self):
+        """A callback cancels an entry scheduled before the run started."""
+        loop = EventLoop()
+        fired = []
+        later = loop.schedule_at(1.05e-4, lambda: fired.append("later"))
+        loop.schedule_at(1.02e-4, lambda: later.cancel(), priority=1)
+        loop.run()
+        assert fired == []
+        assert len(loop) == 0
+        assert loop.processed_events == 1
+
+    def test_far_future_event_fires_at_its_time(self):
+        loop = EventLoop()
+        fired = []
+        loop.schedule_at(86400.0, lambda: fired.append(loop.now))
+        loop.run()
+        assert fired == [86400.0]
+        assert loop.now == 86400.0
+        assert len(loop) == 0
+
+    def test_events_across_time_scales_fire_in_order(self):
+        """Entries from sub-microsecond to days apart fire in time order,
+        with same-instant ties still broken by priority."""
+        loop = EventLoop()
+        order = []
+        times = [3.5e-7, 2.5e-5, 0.004, 1.5, 250.0, 250.0, 9000.0, 2.5e5]
+        for index in (5, 2, 7, 0, 4, 6, 1, 3):
+            loop.schedule_at(
+                times[index], lambda i=index: order.append(i), priority=10 - index
+            )
+        loop.run()
+        assert order == [0, 1, 2, 3, 5, 4, 6, 7]
+
+    def test_chained_long_delays_fire_at_exact_times(self):
+        """Callbacks re-arming far ahead keep firing at the exact times."""
+        loop = EventLoop()
+        fired = []
+
+        def chain(left):
+            fired.append(loop.now)
+            if left:
+                loop.schedule(375.0, partial(chain, left - 1))
+
+        loop.schedule(375.0, partial(chain, 4))
+        loop.schedule(1000.0, lambda: fired.append("marker"))
+        loop.run()
+        assert fired == [375.0, 750.0, "marker", 1125.0, 1500.0, 1875.0]
+
     def test_cancelled_entries_drained_by_run_leave_len_zero(self):
         """Cancelled entries stay in the heap but leave the count."""
         loop = EventLoop()
@@ -308,12 +356,32 @@ class TestOrderOracle:
         assert stream.loop.processed_events == len(expected)
         assert len(stream.loop) == 0
 
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_run_until_window_edges_match_oracle(self, seed):
+        """A fixed plan drained window by window: clock, processed count
+        and live count at each edge, and the fired order, follow from
+        sorting the plan."""
+        rng = random.Random(seed)
+        plan = [(rng.random() * 0.08, rng.randrange(12)) for _ in range(400)]
+        loop = EventLoop()
+        fired = []
+        for seq, (when, priority) in enumerate(plan):
+            loop.schedule_at(when, partial(fired.append, seq), priority=priority)
+        for edge in (0.01, 0.02, 0.05, 0.1):
+            loop.run_until(edge)
+            due = sum(1 for when, _ in plan if when <= edge)
+            assert (loop.now, loop.processed_events, len(loop)) == (edge, due, len(plan) - due)
+        keys = sorted((when, priority, seq) for seq, (when, priority) in enumerate(plan))
+        assert fired == [seq for _, _, seq in keys]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42])
     @pytest.mark.parametrize("hostile", [False, True])
-    def test_engine_mix_fires_in_time_order(self, hostile):
+    def test_engine_mix_fires_in_time_order(self, seed, hostile):
         """The engine-microbench driver's fire trace never goes back in time."""
-        loop, trace = _drive_engine_mix(1500, 7, hostile)
+        loop, trace = _drive_engine_mix(1500, seed, hostile)
         times = [when for _, when in trace]
         assert times == sorted(times)
+        assert len({tag for tag, _ in trace}) == len(trace)
         assert len(trace) == loop.processed_events
         assert len(loop) == 0
 

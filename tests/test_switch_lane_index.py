@@ -151,6 +151,21 @@ class TestLaneIndexVsEagerDifferential:
         assert lazy_loop.processed_events == eager_loop.processed_events
 
 
+class TestDrainMixDriver:
+    @pytest.mark.parametrize("skewed", [False, True])
+    def test_every_send_delivered_once_in_time_order(self, skewed):
+        """The switch-drain microbench driver loses, duplicates and
+        reorders-in-time nothing: each send arrives exactly once, at its
+        destination, and the delivery trace never goes back in time."""
+        loop, trace = _drive_switch_drain_mix(3000, 5, skewed)
+        assert sorted(tag for _, _, tag, _ in trace) == list(range(3000))
+        times = [when for _, _, _, when in trace]
+        assert times == sorted(times)
+        assert all(dst != src for dst, src, _, _ in trace)
+        assert times[0] > 0.0
+        assert len(loop) == 0
+
+
 class TestMidRunDemotion:
     @pytest.mark.parametrize("seed", [4, 13, 29])
     def test_demotion_with_backlog_stays_byte_identical(self, seed):
