@@ -1,19 +1,20 @@
 """no-engine-counter-poke: engine accounting mutates only through the API.
 
-The event loop's liveness accounting (``_live``, ``_processed``) decides
-when ``run_until`` may stop and what ``len(loop)`` reports.  PR 10 gave
-the engine a first-class hidden-event API —
+The event loop's accounting (``_live``, ``_processed``, ``_cancelled``)
+decides what ``len(loop)`` and ``processed_events`` report and when the
+heap is compacted.  The engine has a first-class hidden-event API —
 ``EventLoop.schedule_hidden(when, cb, priority)`` and
 ``EventLoop.adjust_hidden(live=..., processed=...)`` — precisely so the
 network layer stops reaching into those private counters from outside
 ``sim/engine.py``.  A stray ``loop._live += 1`` elsewhere silently
 desynchronises the lazy-delivery mirror flags from the reference
 accounting, which surfaces only as a fixed-seed digest mismatch far from
-the offending line.
+the offending line; a stray ``loop._cancelled = 0`` postpones compaction,
+so cancelled entries pile up in the heap again.
 
 This rule flags any assignment or augmented assignment whose target is
-an attribute named ``_live`` or ``_processed`` in a module other than
-the engine itself.  Reads are fine (tests and benches inspect the
+an attribute named ``_live``, ``_processed`` or ``_cancelled`` in a module
+other than the engine itself.  Reads are fine (tests and benches inspect the
 counters); only mutation is reserved to the engine.
 """
 
@@ -23,7 +24,7 @@ import ast
 
 from repro.analysis.core import ModuleInfo, Reporter, Rule, Severity
 
-ENGINE_COUNTERS = frozenset({"_live", "_processed"})
+ENGINE_COUNTERS = frozenset({"_live", "_processed", "_cancelled"})
 ENGINE_MODULE_SUFFIX = "repro/sim/engine.py"
 
 
@@ -31,7 +32,7 @@ class NoEngineCounterPokeRule(Rule):
     name = "no-engine-counter-poke"
     severity = Severity.ERROR
     description = (
-        "private engine counters (_live/_processed) may only be mutated "
+        "private engine counters (_live/_processed/_cancelled) may only be mutated "
         "inside sim/engine.py — use EventLoop.schedule_hidden() / "
         "adjust_hidden() from everywhere else"
     )

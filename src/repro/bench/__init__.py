@@ -7,16 +7,11 @@ paper-vs-measured comparison.
 """
 
 from repro.bench.builders import SystemUnderTest, build_system, scaled_cpu_model
-from repro.bench.runner import ExperimentProfile, RatePointResult, find_max_throughput, run_rate_point
 from repro.bench.report import format_table
 
 __all__ = [
     "SystemUnderTest",
     "build_system",
     "scaled_cpu_model",
-    "ExperimentProfile",
-    "RatePointResult",
-    "run_rate_point",
-    "find_max_throughput",
     "format_table",
 ]

@@ -27,7 +27,7 @@ import itertools
 import random
 import zlib
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Dict, List, Optional
 
 __all__ = ["Event", "EventLoop", "Simulator", "SimulationError"]
@@ -68,11 +68,19 @@ class Event:
     loop: Optional["EventLoop"] = field(default=None, compare=False, repr=False)
 
     def cancel(self) -> None:
-        """Mark the event so the loop skips it when popped."""
+        """Mark the event so the loop skips it when popped.
+
+        The entry stays in the heap until popped or until the loop
+        compacts; cancelling an event that already fired is a no-op.
+        """
         if not self.cancelled:
             self.cancelled = True
-            if self.loop is not None:
-                self.loop._live -= 1
+            loop = self.loop
+            if loop is not None:
+                loop._live -= 1
+                loop._cancelled += 1
+                if loop._cancelled * 2 > len(loop._heap):
+                    loop._compact()
 
 
 class EventLoop:
@@ -82,8 +90,13 @@ class EventLoop:
     callbacks and :meth:`run` / :meth:`run_until` / :meth:`step` for
     execution.  Time is a ``float`` in **seconds**.
 
-    Cancellation is lazy: a cancelled entry stays in the heap and is
-    skipped when popped, while a live counter keeps ``len(loop)`` O(1).
+    Cancellation is lazy but bounded: a cancelled entry stays in the heap
+    and is skipped when popped, while a live counter keeps ``len(loop)``
+    O(1).  Once cancelled entries outnumber the rest, :meth:`_compact`
+    drops them all and re-heapifies, so they are at most half the heap
+    and each rebuild is paid for by the cancels that triggered it.
+    Compaction cannot change the order: ``(time, priority, seq)`` keys are
+    unique, so a heap's pop order is fixed by the set of entries it holds.
     """
 
     def __init__(self) -> None:
@@ -94,6 +107,8 @@ class EventLoop:
         self._processed = 0
         #: Number of non-cancelled events in the heap, so ``__len__`` is O(1).
         self._live = 0
+        #: Cancelled :class:`Event` entries still in the heap.
+        self._cancelled = 0
         #: Real event turns only (one per executed heap entry).  Unlike
         #: ``_processed`` this is never adjusted by the network layer's
         #: virtual backlog replay, so same-turn coalescing stays stable.
@@ -222,6 +237,7 @@ class EventLoop:
             event = entry[3]
             if event.__class__ is Event:
                 if event.cancelled:
+                    self._cancelled -= 1
                     continue
                 # Mark the event consumed so a late cancel() (e.g. a timer
                 # callback cancelling its own timer) cannot decrement again.
@@ -272,6 +288,7 @@ class EventLoop:
             event = entry[3]
             if event.__class__ is Event:
                 if event.cancelled:
+                    self._cancelled -= 1
                     continue
                 event.cancelled = True
                 callback = event.callback
@@ -292,6 +309,17 @@ class EventLoop:
     def stop(self) -> None:
         """Stop a :meth:`run` in progress after the current event."""
         self._running = False
+
+    def _compact(self) -> None:
+        """Drop every cancelled entry from the heap.
+
+        The heap is rebuilt in place: :meth:`run_until` holds a local alias
+        to it, and a cancel from inside a callback can land here mid-loop.
+        """
+        heap = self._heap
+        heap[:] = [e for e in heap if e[3].__class__ is not Event or not e[3].cancelled]
+        heapify(heap)
+        self._cancelled = 0
 
 
 class Simulator:

@@ -423,6 +423,7 @@ class Queue:
 
     def reset(self, loop):
         loop._live = 0
+        loop._cancelled = 0
 """
 
 COUNTER_POKE_CLEAN = """\
@@ -445,8 +446,9 @@ def test_engine_counter_poke_flags_cross_module_mutation(tmp_path):
         rules=[NoEngineCounterPokeRule],
     )
     assert rules_hit(result) == ["no-engine-counter-poke"]
-    assert len(result.active) == 3  # augassign x2 + plain assign
+    assert len(result.active) == 4  # augassign x2 + plain assign x2
     assert "adjust_hidden" in result.active[0].message
+    assert "loop._cancelled" in result.active[3].message
 
 
 def test_engine_counter_poke_clean_api_and_reads(tmp_path):

@@ -46,3 +46,17 @@ def test_example_runs_clean(script: str, markers: list) -> None:
         assert marker in result.stdout, (
             f"{script} output missing {marker!r}\nstdout:\n{result.stdout}"
         )
+
+
+def test_runner_module_imports_once() -> None:
+    """``python -m repro.bench.runner`` must not find the module already
+    imported by its package (runpy then runs it twice and warns)."""
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.bench.runner", "--help"],
+        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=False,
+    )
+    assert result.returncode == 0, result.stderr

@@ -3,8 +3,8 @@
 The byte-identical-log contract rests on one invariant: the loop executes
 any schedule stream in ``(time, priority, seq)`` order.  Besides the unit
 cases, :class:`TestOrderOracle` checks that invariant against a sort
-oracle over seeded random streams, including lazy cancellation and
-callbacks that schedule more events.
+oracle over seeded random streams, including lazy cancellation, heap
+compaction and callbacks that schedule more events.
 """
 
 import math
@@ -13,8 +13,11 @@ from functools import partial
 
 import pytest
 
+from repro.bench.builders import build_system, make_single_dc_topology
 from repro.bench.runner import _drive_engine_mix
-from repro.sim.engine import EventLoop, SimulationError, Simulator
+from repro.canopus.config import CanopusConfig
+from repro.canopus.messages import ClientRequest, RequestType
+from repro.sim.engine import Event, EventLoop, SimulationError, Simulator
 
 
 class TestEventLoop:
@@ -231,7 +234,8 @@ class TestEventLoop:
         assert fired == [375.0, 750.0, "marker", 1125.0, 1500.0, 1875.0]
 
     def test_cancelled_entries_drained_by_run_leave_len_zero(self):
-        """Cancelled entries stay in the heap but leave the count."""
+        """Cancelled entries leave the count at once, whether compaction or
+        the drain removes them from the heap."""
         loop = EventLoop()
         near = loop.schedule_at(3e-5, lambda: None)
         far = loop.schedule_at(0.5, lambda: None)
@@ -262,14 +266,26 @@ class _OracleStream:
 
     GRID = 2.0**-12
 
-    def __init__(self, seed):
+    def __init__(
+        self, seed, cancels=6, callback_cancels=(0, 0, 0, 0, 1), recent=None, hidden=0.0, fast=0.5
+    ):
         self.rng = random.Random(seed)
         self.loop = EventLoop()
         self.log = []  # key per schedule call, indexed by seq
         self.cancelled = {}  # seq -> key of the moment of its first cancel()
         self.events = []  # (seq, Event) for every schedule_at entry
+        self.hidden = set()  # seqs of schedule_hidden entries
         self.fired = []
         self.moment = (-math.inf, 0, 0)
+        self.in_callback = False
+        #: Cancels per window, the cancel counts a firing entry draws from, the
+        #: number of latest events cancels pick from (``None``: all), the
+        #: share of entries scheduled hidden, and of the rest, fast.
+        self.cancels = cancels
+        self.callback_cancels = callback_cancels
+        self.recent = recent
+        self.hidden_share = hidden
+        self.fast_share = fast
 
     def schedule(self, after_slot, spread):
         rng = self.rng
@@ -277,7 +293,10 @@ class _OracleStream:
         priority = rng.randrange(4)
         seq = len(self.log)
         self.log.append((when, priority, seq))
-        if rng.random() < 0.5:
+        if self.hidden_share and rng.random() < self.hidden_share:
+            self.hidden.add(seq)
+            self.loop.schedule_hidden(when, partial(self.fire_hidden, seq), priority)
+        elif rng.random() < self.fast_share:
             self.loop.schedule_fast(when, partial(self.fire, seq), priority)
         else:
             event = self.loop.schedule_at(when, partial(self.fire, seq), priority=priority)
@@ -287,20 +306,27 @@ class _OracleStream:
     def cancel_one(self):
         # Targets may already have fired or been cancelled: late and double
         # cancels must be no-ops.
-        seq, event = self.rng.choice(self.events)
+        seq, event = self.rng.choice(self.events[-self.recent :] if self.recent else self.events)
         self.cancelled.setdefault(seq, self.moment)
         event.cancel()
+
+    def fire_hidden(self, seq):
+        self.loop.adjust_hidden(1, -1)
+        self.fire(seq)
 
     def fire(self, seq):
         key = self.log[seq]
         assert self.loop.now == key[0]
         self.fired.append(seq)
         self.moment = key
+        self.in_callback = True
         slot = round(key[0] / self.GRID)
         for _ in range(self.rng.choice((0, 0, 1, 2))):
             self.schedule(slot, 6)
-        if self.events and self.rng.random() < 0.2:
-            self.cancel_one()
+        if self.events:
+            for _ in range(self.rng.choice(self.callback_cancels)):
+                self.cancel_one()
+        self.in_callback = False
 
     def live_keys(self):
         # A cancel at or after the entry's own turn (self-cancel included)
@@ -313,9 +339,13 @@ class _OracleStream:
 
     def predict(self, edge):
         """``(now, processed_events, len(loop))`` after ``run_until(edge)``."""
-        live = self.live_keys()
+        live = [key for key in self.live_keys() if key[2] not in self.hidden]
         due = sum(1 for key in live if key[0] <= edge)
         return (edge, due, len(live) - due)
+
+    def ghosts(self):
+        """Cancelled :class:`Event` entries actually in the loop's heap."""
+        return sum(1 for entry in self.loop._heap if isinstance(entry[3], Event) and entry[3].cancelled)
 
     def drive(self, edges):
         """Schedule, cancel and drain window by window; returns the
@@ -326,11 +356,12 @@ class _OracleStream:
         for edge in edges:
             for _ in range(60):
                 self.schedule(slot, 40)
-            for _ in range(6):
+            for _ in range(self.cancels):
                 self.cancel_one()
             loop.run_until(edge)
             observed.append((loop.now, loop.processed_events, len(loop)))
             predicted.append(self.predict(edge))
+            assert loop._cancelled == self.ghosts()
             self.moment = (edge, math.inf, math.inf)
             slot = math.floor(edge / self.GRID)
         loop.run()
@@ -355,6 +386,32 @@ class TestOrderOracle:
         assert len(stream.fired) < len(stream.log)  # some cancels took effect
         assert stream.loop.processed_events == len(expected)
         assert len(stream.loop) == 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7, 42])
+    def test_order_holds_under_compaction(self, seed):
+        """Cancel-heavy streams, hidden and fast entries mixed in, cross the
+        compaction threshold many times, also from inside callbacks."""
+        stream = _OracleStream(
+            seed, cancels=100, callback_cancels=(0, 1, 2, 4), recent=60, hidden=0.1, fast=0.1
+        )
+        loop = stream.loop
+        compact = loop._compact
+        compactions = []
+
+        def counting_compact():
+            compactions.append(stream.in_callback)
+            compact()
+
+        loop._compact = counting_compact
+        edges = [slot * _OracleStream.GRID for slot in range(5, 400, 7)]
+        observed, predicted = stream.drive(edges)
+        assert observed == predicted
+        expected = [key[2] for key in sorted(stream.live_keys())]
+        assert stream.fired == expected
+        assert len(expected) * 2 < len(stream.log)  # most entries were cancelled
+        assert compactions.count(True) >= 5 and compactions.count(False) >= 5
+        assert loop._cancelled == stream.ghosts() == 0
+        assert len(loop) == 0
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_run_until_window_edges_match_oracle(self, seed):
@@ -384,6 +441,62 @@ class TestOrderOracle:
         assert len({tag for tag, _ in trace}) == len(trace)
         assert len(trace) == loop.processed_events
         assert len(loop) == 0
+
+
+def _heap_bounded(loop):
+    """Cancelled entries are at most half the heap (plus one in flight)."""
+    return len(loop._heap) <= 2 * len(loop) + 1
+
+
+class TestBoundedHeap:
+    """Lazy cancellation keeps the heap within twice the live entries."""
+
+    def test_rearmed_timer_keeps_heap_bounded(self):
+        """A Raft-style election timer re-armed on every heartbeat."""
+        loop = EventLoop()
+        rng = random.Random(5)
+        ticks, timeouts, rearms = [], [], []  # rearms: heap size after each
+        timer = loop.schedule(0.15, lambda: timeouts.append(loop.now))
+
+        def heartbeat():
+            nonlocal timer
+            timer.cancel()
+            timer = loop.schedule(rng.uniform(0.1, 0.2), lambda: timeouts.append(loop.now))
+            rearms.append(len(loop._heap))
+            assert _heap_bounded(loop)
+            if len(rearms) < 10_000:
+                loop.schedule(0.001, heartbeat)
+
+        def tick(period):
+            ticks.append(period)
+            loop.schedule(period, partial(tick, period))
+
+        for period in (0.0007, 0.0013, 0.0031):
+            loop.schedule(period, partial(tick, period))
+        loop.schedule(0.001, heartbeat)
+        while len(rearms) < 10_000:
+            loop.run_until(loop.now + 0.05)
+            assert _heap_bounded(loop)
+        assert timeouts == [] and len(ticks) > 10_000
+
+    def test_raft_broadcast_canopus_keeps_heap_bounded(self):
+        """Raft followers in each super-leaf re-arm their election timer on
+        every AppendEntries; the heap stays bounded at every window edge."""
+        topology = make_single_dc_topology(Simulator(seed=5), nodes_per_rack=3)
+        sut = build_system("canopus", topology, config=CanopusConfig(broadcast_mode="raft"))
+        sut.start()
+        nodes = list(sut.cluster.nodes.values())
+        loop = sut.simulator.loop
+        for window in range(1, 41):
+            for index, node in enumerate(nodes):
+                node.submit(
+                    ClientRequest(
+                        client_id=f"c{index}", op=RequestType.WRITE, key=f"k{window}", value="v"
+                    )
+                )
+            sut.simulator.run_until(window * 0.05)
+            assert _heap_bounded(loop), (window, len(loop._heap), len(loop))
+        assert len(nodes[0].committed_requests()) > 0
 
 
 class TestSimulator:
