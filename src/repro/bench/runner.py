@@ -658,7 +658,7 @@ def measure_host_calibration(ops: int = 120_000, repeats: int = 3) -> float:
     The kernel mirrors the simulator's operation mix — tuple heap churn plus
     dict updates — but deliberately uses only the standard library, so
     optimizing (or regressing) the simulator never moves the calibration
-    number.  Perf gates divide a run's events/second by this figure to get a
+    number.  Perf gates scale a run's wall time by this figure to get a
     hardware-independent ratio: the committed baseline can then be recorded
     on a fast dev machine and still gate correctly on a slower CI runner.
     Returns the best ops/second over ``repeats`` runs (least noisy).
@@ -962,16 +962,15 @@ def update_perf_report(
     entry["current"] = current
     baseline = entry["baseline"]
     entry["wall_clock_speedup_vs_baseline"] = round(baseline["wall_s"] / current["wall_s"], 3)
-    entry["events_per_s_ratio_vs_baseline"] = round(
-        current["events_per_s"] / baseline["events_per_s"], 3
-    )
-    # Hardware-independent gate: normalize each measurement by the host
+    # Hardware-independent gate: scale each wall time by the host
     # calibration figure taken in the same run, so a slower CI runner than
     # the machine that recorded the baseline cannot fail the gate spuriously.
+    # A fixed-seed point does a fixed amount of work, so this is the same
+    # figure a calibrated events/s ratio gives, without counting events.
     if baseline.get("calibration_ops_per_s") and current.get("calibration_ops_per_s"):
-        entry["calibrated_events_per_s_ratio_vs_baseline"] = round(
-            (current["events_per_s"] / current["calibration_ops_per_s"])
-            / (baseline["events_per_s"] / baseline["calibration_ops_per_s"]),
+        entry["calibrated_wall_speedup_vs_baseline"] = round(
+            (baseline["wall_s"] * baseline["calibration_ops_per_s"])
+            / (current["wall_s"] * current["calibration_ops_per_s"]),
             3,
         )
     if baseline.get("commit_log_sha256"):
@@ -1097,11 +1096,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     ``python -m repro.bench.runner --perf-point ci-smoke --report
     BENCH_sim_hotpath.json --fail-below 0.7`` runs the point, merges it
-    into the report, and exits non-zero when events/second fell below the
-    given fraction of the committed baseline.  The comparison uses the
-    *calibrated* ratio whenever both measurements carry a host-calibration
-    figure (:func:`measure_host_calibration`), so the gate is insensitive
-    to the baseline having been recorded on different hardware.
+    into the report, and exits non-zero when the wall-time speedup over
+    the committed baseline (baseline wall time / current wall time) fell
+    below the given fraction.  The comparison uses the *calibrated*
+    speedup — each wall time scaled by the host-calibration figure
+    (:func:`measure_host_calibration`) taken in the same run — whenever
+    both measurements carry one, so the gate is insensitive to the
+    baseline having been recorded on different hardware.
 
     ``--reads R`` overrides the point's snapshot-read mix (the fraction of
     multi-key operations that are ``read_txn`` snapshot reads; sharded
@@ -1125,8 +1126,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--fail-below",
         type=float,
         default=None,
-        help="fail when current events/s < this fraction of the committed baseline "
-        "(calibration-normalized when available)",
+        help="fail when the baseline's wall time over the current wall time is below "
+        "this fraction (calibration-normalized when available)",
     )
     parser.add_argument(
         "--set-baseline", action="store_true", help="re-establish the committed baseline"
@@ -1244,15 +1245,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"trace: {traced['spans']} spans -> {traced['trace']} "
             f"(+ {traced['chrome_trace']}), sha256={traced['trace_sha256'][:12]}"
         )
-    ratio = entry["events_per_s_ratio_vs_baseline"]
-    calibrated = entry.get("calibrated_events_per_s_ratio_vs_baseline")
+    ratio = entry["wall_clock_speedup_vs_baseline"]
+    calibrated = entry.get("calibrated_wall_speedup_vs_baseline")
     gate_ratio = calibrated if calibrated is not None else ratio
     gate_kind = "calibrated" if calibrated is not None else "raw"
     print(
         f"{point.label}: wall={current['wall_s']}s "
         f"events/s={current['events_per_s']} "
         f"peak_heap={current['peak_heap_bytes'] / 1e6:.1f}MB "
-        f"events/s ratio vs baseline={ratio}"
+        f"wall speedup vs baseline={ratio}"
         + (f" (calibrated {calibrated})" if calibrated is not None else "")
     )
     baseline = entry["baseline"]
@@ -1262,8 +1263,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     if args.fail_below is not None and gate_ratio < args.fail_below:
         print(
-            f"ERROR: {gate_kind} events/s regressed below {args.fail_below:.0%} "
-            "of the committed baseline"
+            f"ERROR: {gate_kind} wall-time speedup vs the committed baseline "
+            f"({gate_ratio}) fell below {args.fail_below}"
         )
         return 1
     return 0

@@ -118,6 +118,40 @@ class TestPerfTrackingPoints:
         entry = update_perf_report(path, "p", dict(base, events_per_s=90))
         assert "commit_logs_match_baseline" not in entry
 
+    @staticmethod
+    def _measurement(wall_s, events, calibration):
+        return {
+            "wall_s": wall_s,
+            "events": events,
+            "events_per_s": round(events / wall_s),
+            "calibration_ops_per_s": calibration,
+            "commit_log_sha256": "d",
+        }
+
+    def test_calibrated_wall_speedup_equals_calibrated_events_ratio(self, tmp_path):
+        from repro.bench.runner import update_perf_report
+
+        path = str(tmp_path / "report.json")
+        events = 400_000
+        base = self._measurement(2.0, events, 1_000_000)
+        current = self._measurement(3.0, events, 900_000)
+        update_perf_report(path, "p", base, set_baseline=True)
+        entry = update_perf_report(path, "p", current)
+        # The figure the gate used while it counted events, unrounded.
+        events_ratio = (events / 3.0 / 900_000) / (events / 2.0 / 1_000_000)
+        assert entry["calibrated_wall_speedup_vs_baseline"] == round(events_ratio, 3) == 0.741
+        assert "events_per_s_ratio_vs_baseline" not in entry
+        assert "calibrated_events_per_s_ratio_vs_baseline" not in entry
+
+    def test_twice_as_slow_at_same_calibration_reads_half(self, tmp_path):
+        from repro.bench.runner import update_perf_report
+
+        path = str(tmp_path / "report.json")
+        update_perf_report(path, "p", self._measurement(1.5, 90_000, 1_200_000), set_baseline=True)
+        entry = update_perf_report(path, "p", self._measurement(3.0, 90_000, 1_200_000))
+        assert entry["calibrated_wall_speedup_vs_baseline"] == 0.5
+        assert entry["wall_clock_speedup_vs_baseline"] == 0.5
+
     def test_profile_perf_point_records_top_functions(self, tmp_path):
         import json
         from dataclasses import replace
