@@ -1,21 +1,21 @@
-"""no-engine-counter-poke: engine accounting mutates only through the API.
+"""no-engine-counter-poke: engine accounting mutates only inside the engine.
 
 The event loop's accounting (``_live``, ``_processed``, ``_cancelled``)
 decides what ``len(loop)`` and ``processed_events`` report and when the
-heap is compacted.  The engine has a first-class hidden-event API —
-``EventLoop.schedule_hidden(when, cb, priority)`` and
-``EventLoop.adjust_hidden(live=..., processed=...)`` — precisely so the
-network layer stops reaching into those private counters from outside
-``sim/engine.py``.  A stray ``loop._live += 1`` elsewhere silently
-desynchronises the lazy-delivery mirror flags from the reference
-accounting, which surfaces only as a fixed-seed digest mismatch far from
-the offending line; a stray ``loop._cancelled = 0`` postpones compaction,
-so cancelled entries pile up in the heap again.
+heap is compacted.  Each counter changes together with the heap itself —
+on schedule, on pop, on cancel and on compaction — so only
+``sim/engine.py`` may write it; every other module schedules through
+``schedule``/``schedule_at``/``schedule_fast`` and cancels through
+``Event.cancel()``.  A stray ``loop._live += 1`` elsewhere makes
+``len(loop)`` stop matching the entries still to fire, and a stray
+``loop._cancelled = 0`` postpones compaction, so cancelled entries pile up
+in the heap again.
 
 This rule flags any assignment or augmented assignment whose target is
 an attribute named ``_live``, ``_processed`` or ``_cancelled`` in a module
 other than the engine itself.  Reads are fine (tests and benches inspect the
-counters); only mutation is reserved to the engine.
+counters, and the network reads ``_processed`` to coalesce same-turn sends);
+only mutation is reserved to the engine.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ class NoEngineCounterPokeRule(Rule):
     severity = Severity.ERROR
     description = (
         "private engine counters (_live/_processed/_cancelled) may only be mutated "
-        "inside sim/engine.py — use EventLoop.schedule_hidden() / "
-        "adjust_hidden() from everywhere else"
+        "inside sim/engine.py — schedule and cancel through the EventLoop API "
+        "from everywhere else"
     )
 
     def applies_to(self, module: ModuleInfo) -> bool:
@@ -60,7 +60,7 @@ class NoEngineCounterPokeRule(Rule):
                 report.at(
                     child,
                     f"mutation of engine counter `{ast.unparse(child)}` outside "
-                    "sim/engine.py — use loop.adjust_hidden(live=..., "
-                    "processed=...) or loop.schedule_hidden(...) so the "
-                    "liveness accounting stays in one module",
+                    "sim/engine.py — schedule through loop.schedule_at()/"
+                    "schedule_fast() and cancel through Event.cancel() so the "
+                    "accounting stays in step with the heap",
                 )

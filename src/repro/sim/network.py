@@ -191,7 +191,7 @@ class Link:
         self.packets_sent += 1
         host = self._lazy_host
         if host is not None:
-            host._ingress_push(arrival, packet, now)
+            host._ingress_push(arrival, packet)
         else:
             lane = self._lazy_lane
             if lane is not None:
@@ -223,14 +223,13 @@ class Link:
         arrival = finish + self.latency_s
         self.bytes_sent += total_bytes
         self.packets_sent += 1
-        p_ref = self.loop._now
         host = self._lazy_host
         if host is not None:
-            host._ingress_push(arrival, packet, p_ref)
+            host._ingress_push(arrival, packet)
         else:
             lane = self._lazy_lane
             if lane is not None:
-                lane.push(arrival, p_ref, packet)
+                lane.push(arrival, self.loop._now, packet)
             else:
                 self._arrivals.push(arrival, packet)
         return arrival
@@ -243,8 +242,8 @@ class Link:
         event at ``forward_at`` — ``start = max(forward_at, busy)`` — but
         run eagerly from the drain.  ``forward_at`` doubles as the
         downstream reference-push instant (a zero-delay switch forwards the
-        moment a packet arrives), which keeps the virtual delivery-queue
-        accounting on the next hop exact.
+        moment a packet arrives), which keeps the next switch lane's
+        arming rank exact.
         """
         total_bytes = packet.size_bytes + DEFAULT_HEADER_BYTES
         serialization = total_bytes * 8.0 / self.bandwidth_bps
@@ -257,7 +256,7 @@ class Link:
         self.packets_sent += 1
         host = self._lazy_host
         if host is not None:
-            host._ingress_push(arrival, packet, forward_at)
+            host._ingress_push(arrival, packet)
         else:
             lane = self._lazy_lane
             if lane is not None:
@@ -307,9 +306,7 @@ class _SwitchLane:
     (the feeding link is FIFO and feeds it in modelled-forward order).
     ``p_ref`` is the instant the reference engine would have pushed the
     packet into this link's delivery queue — its forward time at the
-    previous element — which drives the virtual armed-flush accounting:
-    ``ref_live`` caches whether the reference engine currently holds an
-    armed flush event for this link (head ``p_ref`` has passed).
+    previous element — which decides when that queue's flush was armed.
 
     ``(arm_at, arm_tick)`` reproduce the reference flush event's tie rank
     for the head group: the instant the reference would have armed that
@@ -322,16 +319,11 @@ class _SwitchLane:
     under symmetric broadcast collisions.
     """
 
-    __slots__ = ("owner", "q", "ref_live", "group_arr", "arm_at", "arm_tick", "lat", "src")
+    __slots__ = ("owner", "q", "arm_at", "arm_tick", "lat", "src")
 
     def __init__(self, owner: "Switch", lat: float, src: "NetworkElement") -> None:
         self.owner = owner
         self.q: "deque[Tuple[float, float, Packet]]" = deque()
-        self.ref_live = 0
-        #: Arrival of the last counted virtual flush group (equal-arrival
-        #: runs are contiguous per lane and never straddle two drains, so
-        #: comparing against the previous item is exact).
-        self.group_arr = -1.0
         self.arm_at = float("-inf")
         self.arm_tick = 0
         #: Feeding link's latency and source element: a drain may only
@@ -368,28 +360,6 @@ class _SwitchLane:
             # pops it dry — FIFO appends never change the head, and the
             # arm fields only move on this empty-queue branch.
             heappush(owner._index, (arrival, self.arm_at, self.arm_tick, self))
-            if not self.ref_live:
-                loop = owner._loop
-                if p_ref <= loop._now:
-                    self.ref_live = 1
-                    loop.adjust_hidden(1)
-                else:
-                    # Head p_ref is still in the future: the flip happens
-                    # as now advances, without any event touching this
-                    # lane — watch it from the drain-end refresh.
-                    owner._ref_pending.append(self)
-            at = owner._drain_at
-            if at is None or at > arrival:
-                g = (int(arrival * owner._grid_inv) + 1) * owner._grid
-                if at is None or g < at:
-                    owner._drain_at = g
-                    owner._loop.schedule_hidden(g, owner._drain_cb, 5)
-            return
-        if not self.ref_live:
-            loop = owner._loop
-            if p_ref <= loop._now:
-                self.ref_live = 1
-                loop.adjust_hidden(1)
         # Arm the drain on the switch's time grid: a packet may wait up to
         # one grid period (= min egress latency) because its downstream
         # arrival is at least that far away, and grid alignment means a
@@ -402,7 +372,7 @@ class _SwitchLane:
             g = (int(arrival * owner._grid_inv) + 1) * owner._grid
             if at is None or g < at:
                 owner._drain_at = g
-                owner._loop.schedule_hidden(g, owner._drain_cb, 5)
+                owner._loop.schedule_fast(g, owner._drain_cb, 5)
 
 
 class Switch(NetworkElement):
@@ -450,12 +420,6 @@ class Switch(NetworkElement):
         #: from scratch every grid period.  ``arm_tick`` is unique per
         #: switch, so entries totally order before ever comparing lanes.
         self._index: List[Tuple[float, float, int, _SwitchLane]] = []
-        #: Non-empty lanes whose head ``p_ref`` is still in the future
-        #: (``ref_live`` 0): the armed-flush mirror flips as now advances
-        #: without any event touching the lane, so the drain-end refresh
-        #: walks this (tiny) watch list instead of every lane.  Lazily
-        #: deduplicated — a stale entry is dropped on the next scan.
-        self._ref_pending: List[_SwitchLane] = []
         #: Pre-bound drain callback (one bound-method allocation total,
         #: not one per grid arming).
         self._drain_cb = self._drain
@@ -528,10 +492,8 @@ class Switch(NetworkElement):
             # Replay everything due now in merged reference order first, so
             # the spill below only ever re-queues future arrivals — the
             # delivery queues cannot schedule into the past.
-            now = self._loop._now
-            self._drain_to(now, now)
+            self._drain_to(self._loop._now)
         self._drain_at = None
-        mirrored = 0
         for link in self.network.links.values():
             lane = link._lazy_lane
             if lane is None or lane.owner is not self:
@@ -541,28 +503,17 @@ class Switch(NetworkElement):
             for arrival, _p_ref, packet in lane.q:
                 arrivals_push(arrival, packet)
             lane.q.clear()
-            if lane.ref_live:
-                # The mirror flag is superseded by the real armed flush the
-                # spill just created.
-                lane.ref_live = 0
-                mirrored += 1
-        if mirrored:
-            self._loop.adjust_hidden(-mirrored)
         self._lanes.clear()
         self._index.clear()
-        self._ref_pending.clear()
         self._grid = 0.0
 
     def _drain(self) -> None:
         """Forward every laned arrival inside the lookahead window.
 
-        Runs as a hidden event on the switch's drain grid.  Replays the
-        reference engine's flush events virtually: one processed event per
-        per-lane distinct-arrival group, with per-lane ``ref_live`` flags
-        standing in for the reference's armed flush entries.
+        Runs as one event on the switch's drain grid and replays, in merged
+        order, the per-arrival flushes the reference engine would have run.
         """
         loop = self._loop
-        loop.adjust_hidden(1, -1)  # hidden event: undo step()'s accounting
         now = loop._now
         if self._drain_at != now:
             return  # superseded by a re-arm at an earlier grid point
@@ -573,18 +524,18 @@ class Switch(NetworkElement):
             # Never forward past the active run_until window: state
             # observable at the deadline must match the reference engine.
             bound = deadline
-        nxt = self._drain_to(bound, now)
+        nxt = self._drain_to(bound)
         if nxt is not None:
             g = (int(nxt * self._grid_inv) + 1) * self._grid
             at = self._drain_at
             if at is None or g < at:
                 self._drain_at = g
-                loop.schedule_hidden(g, self._drain_cb, 5)
+                loop.schedule_fast(g, self._drain_cb, 5)
 
-    def _drain_to(self, bound: float, now: float) -> Optional[float]:
+    def _drain_to(self, bound: float) -> Optional[float]:
         """Forward every laned arrival at or before ``bound`` in merged
-        reference order, then refresh the virtual armed-flush flags.
-        Returns the merged head arrival left pending, if any.
+        reference order.  Returns the merged head arrival left pending, if
+        any.
 
         Walks :attr:`_index` — the persistent heap of per-lane head keys —
         directly: a group boundary re-keys the root in place, a dry lane
@@ -599,9 +550,7 @@ class Switch(NetworkElement):
         loop = self._loop
         fwd = self._fwd
         hdr = DEFAULT_HEADER_BYTES
-        groups = 0
         count = 0
-        live_delta = 0
         while heads:
             head = heads[0]
             arrival = head[0]
@@ -610,9 +559,6 @@ class Switch(NetworkElement):
             lane = head[3]
             q = lane.q
             _, _, packet = q.popleft()
-            if arrival != lane.group_arr:
-                lane.group_arr = arrival
-                groups += 1
             count += 1
             packet.hops += 1
             dst = packet.dst
@@ -634,35 +580,29 @@ class Switch(NetworkElement):
             link.packets_sent += 1
             sink = link._lazy_host
             if sink is not None:
-                # Host._ingress_push, non-empty in-order fast case inlined
-                # (p_ref = arrival: the forward instant at this switch).
+                # Host._ingress_push, non-empty in-order fast case inlined.
                 hq = sink._in_q
                 if hq and down_arrival >= hq[-1][0]:
-                    hq.append((down_arrival, arrival, packet))
-                    if not sink._lane_live and arrival <= now:
-                        sink._lane_live = 1
-                        loop.adjust_hidden(1)
+                    hq.append((down_arrival, packet))
                 else:
-                    sink._ingress_push(down_arrival, packet, arrival)
+                    sink._ingress_push(down_arrival, packet)
             else:
                 sink = link._lazy_lane
                 if sink is not None:
                     # _SwitchLane.push, non-empty in-order fast case
                     # inlined (the downstream lane's merge-index entry
-                    # only changes when its queue goes non-empty).
+                    # only changes when its queue goes non-empty; p_ref =
+                    # arrival, the forward instant at this switch).
                     lq = sink.q
                     if lq and down_arrival >= lq[-1][0]:
                         lq.append((down_arrival, arrival, packet))
-                        if not sink.ref_live and arrival <= now:
-                            sink.ref_live = 1
-                            loop.adjust_hidden(1)
                         sw = sink.owner
                         at = sw._drain_at
                         if at is None or at > down_arrival:
                             g = (int(down_arrival * sw._grid_inv) + 1) * sw._grid
                             if at is None or g < at:
                                 sw._drain_at = g
-                                loop.schedule_hidden(g, sw._drain_cb, 5)
+                                loop.schedule_fast(g, sw._drain_cb, 5)
                     else:
                         sink.push(down_arrival, arrival, packet)
                 else:
@@ -680,16 +620,6 @@ class Switch(NetworkElement):
                     lane.arm_at = arm = arrival if nxt_p_ref <= arrival else nxt_p_ref
                     lane.arm_tick = tick = self._arm_tick = self._arm_tick + 1
                     heapreplace(heads, (nxt_arrival, arm, tick, lane))
-                    # The head changed; settle its armed-flush mirror now
-                    # (the full-lane scan this replaces did it per drain).
-                    if nxt_p_ref <= now:
-                        if not lane.ref_live:
-                            lane.ref_live = 1
-                            live_delta += 1
-                    elif lane.ref_live:
-                        lane.ref_live = 0
-                        live_delta -= 1
-                        self._ref_pending.append(lane)
             else:
                 # Lane drained dry: pre-assign the chain-continuation key.
                 # If a deferred upstream push later lands with p_ref at or
@@ -698,32 +628,7 @@ class Switch(NetworkElement):
                 lane.arm_at = arrival
                 lane.arm_tick = self._arm_tick = self._arm_tick + 1
                 heappop(heads)
-                if lane.ref_live:
-                    lane.ref_live = 0
-                    live_delta -= 1
         self.packets_forwarded += count
-        # Refresh the watched armed-flush mirrors (a head's p_ref passes
-        # as now advances without any event touching the lane; every
-        # (non-empty, mirror-down) lane is on the watch list).
-        watch = self._ref_pending
-        if watch:
-            keep = None
-            for lane in watch:
-                q = lane.q
-                if q and not lane.ref_live:
-                    if q[0][1] <= now:
-                        lane.ref_live = 1
-                        live_delta += 1
-                    elif keep is None:
-                        keep = [lane]
-                    else:
-                        keep.append(lane)
-            if keep is None:
-                watch.clear()
-            else:
-                self._ref_pending = keep
-        if groups or live_delta:
-            loop.adjust_hidden(live_delta, groups)
         return heads[0][0] if heads else None
 
     def receive(self, packet: Packet) -> None:
@@ -850,22 +755,16 @@ class Host(NetworkElement):
         self._tx_queue = DeliveryQueue(loop, self._inject, priority=9, label=f"send:{name}")
         #: Open same-turn coalescing group and the loop turn it belongs to.
         self._open_tx: Optional[_TxGroup] = None
-        self._open_tx_turn = -1
+        self._open_tx_step = -1
         # Lazy ingress backlog (single-ingress-link hosts only) ----------
         #: Links delivering to this host; with exactly one, arrivals are
         #: delivered lazily through the backlog lane below.
         self._ingress_links: List[Link] = []
-        #: Pending (arrival, p_ref, packet) triples, arrivals non-decreasing;
-        #: ``p_ref`` is the instant the reference engine would have pushed
-        #: the packet into the ingress link's delivery queue.
-        self._in_q: "deque[Tuple[float, float, Packet]]" = deque()
+        #: Pending (arrival, packet) pairs, arrivals non-decreasing.
+        self._in_q: "deque[Tuple[float, Packet]]" = deque()
         #: Virtual delivery-queue arming time: the instant the reference
         #: engine's per-link delivery queue would fire its next flush.
         self._in_armed_at: Optional[float] = None
-        #: Whether the reference engine currently holds an armed flush
-        #: entry for the lane (head ``p_ref`` has passed); mirrored into
-        #: the loop's live count so ``len(loop)`` stays exact.
-        self._lane_live = 0
         #: Earliest real wake-up currently scheduled (None when none).
         self._wake_at: Optional[float] = None
         #: Pre-bound wake callback (one bound-method allocation total).
@@ -899,32 +798,20 @@ class Host(NetworkElement):
             for attached in self._ingress_links:
                 attached._lazy_host = None
 
-    def _ingress_push(self, when: float, packet: Packet, p_ref: float) -> None:
+    def _ingress_push(self, when: float, packet: Packet) -> None:
         """Append an arrival to the backlog lane (called at transmit time)."""
         q = self._in_q
         if q:
             # Non-empty lane invariant: ``_in_armed_at`` is already set (a
-            # pull only clears it when the lane empties), so only the
-            # armed-flush mirror flag can need updating here.
+            # pull only clears it when the lane empties).
             if when < q[-1][0]:
                 # Out-of-order arrival: impossible for a FIFO link, but keep
                 # the DeliveryQueue fallback contract (dedicated event).
                 self._loop.schedule_fast(when, lambda: self.receive(packet), 5)
                 return
-            q.append((when, p_ref, packet))
-            if not self._lane_live:
-                loop = self._loop
-                if p_ref <= loop._now:
-                    self._lane_live = 1
-                    loop.adjust_hidden(1)
+            q.append((when, packet))
             return
-        q.append((when, p_ref, packet))
-        loop = self._loop
-        if not self._lane_live and p_ref <= loop._now:
-            # Mirror the reference engine's armed flush entry in the live
-            # count; the replay "fires" it from _pull.
-            self._lane_live = 1
-            loop.adjust_hidden(1)
+        q.append((when, packet))
         if self._in_armed_at is None:
             self._in_armed_at = when
             if not self._rx_queue._pending:
@@ -936,14 +823,10 @@ class Host(NetworkElement):
         wake_at = self._wake_at
         if wake_at is None or when < wake_at:
             self._wake_at = when
-            # Wake-ups have no counterpart in the reference engine: keep
-            # them invisible to len(loop) (and to processed_events, which
-            # _wake re-adjusts when it fires).
-            self._loop.schedule_hidden(when, self._wake_cb, 5)
+            self._loop.schedule_fast(when, self._wake_cb, 5)
 
     def _wake(self) -> None:
         loop = self._loop
-        loop.adjust_hidden(1, -1)  # hidden event: undo step()'s accounting
         self._wake_at = None
         if self._in_armed_at is not None:
             self._pull(loop._now)
@@ -954,10 +837,10 @@ class Host(NetworkElement):
         """Replay ingress delivery flushes due at or before ``bound``.
 
         Each iteration reproduces one flush of the reference engine's
-        per-link delivery queue: it counts as one processed event, charges
-        every packet that queue would have delivered at that instant with
-        the identical ``start = max(arrival, busy)`` arithmetic, and
-        re-arms (virtually) at the next pending arrival.
+        per-link delivery queue: it charges every packet that queue would
+        have delivered at that instant with the identical ``start =
+        max(arrival, busy)`` arithmetic, and re-arms (virtually) at the
+        next pending arrival.
         """
         armed = self._in_armed_at
         if armed is None or armed > bound:
@@ -972,11 +855,9 @@ class Host(NetworkElement):
         failed = self.failed
         busy = self._cpu_busy_until
         busy_s = self._cpu_busy_s
-        flushes = 0
         while armed is not None and armed <= bound:
-            flushes += 1
             while q and q[0][0] <= armed:
-                when, _p_ref, packet = q.popleft()
+                when, packet = q.popleft()
                 if not failed:
                     cost = per_message + per_byte * (packet.size_bytes + DEFAULT_HEADER_BYTES)
                     start = when if when > busy else busy
@@ -995,26 +876,21 @@ class Host(NetworkElement):
         if pending and not rxq._armed:
             rxq._armed = True
             loop.schedule_fast(pending[0][0], rxq._flush_cb, 8)
-        new_live = 1 if (q and q[0][1] <= loop._now) else 0
-        loop.adjust_hidden(new_live - self._lane_live, flushes)
-        self._lane_live = new_live
 
     def _tx_group(self) -> Tuple[_TxGroup, bool]:
         """The open coalescing group for the current event turn.
 
         A group stays open only for the duration of one loop turn: any
-        event processed in between bumps the loop's turn counter, so a
+        event processed in between bumps the loop's processed count, so a
         stale group (which may already have flushed) is never extended.
-        (The turn counter, not ``processed_events``: backlog replay moves
-        the processed count *within* a turn.)
         """
-        turn = self._loop._turn
+        turn = self._loop._processed
         group = self._open_tx
-        if group is not None and self._open_tx_turn == turn:
+        if group is not None and self._open_tx_step == turn:
             return group, False
         group = _TxGroup()
         self._open_tx = group
-        self._open_tx_turn = turn
+        self._open_tx_step = turn
         return group, True
 
     def send(self, dst: str, payload: Any, size_bytes: int) -> None:
@@ -1041,14 +917,14 @@ class Host(NetworkElement):
         finish = start + cost
         self._cpu_busy_until = finish
         self._cpu_busy_s += cost
-        turn = loop._turn
+        turn = loop._processed
         group = self._open_tx
-        if group is not None and self._open_tx_turn == turn:
+        if group is not None and self._open_tx_step == turn:
             group.items.append((dst, payload, size_bytes, finish))
         else:
             group = _TxGroup()
             self._open_tx = group
-            self._open_tx_turn = turn
+            self._open_tx_step = turn
             group.items.append((dst, payload, size_bytes, finish))
             self._tx_queue.push(finish, group)
 
@@ -1187,8 +1063,8 @@ class Network:
         #: Bumped on every link-topology change; invalidates drain margins.
         self._topo_gen = 0
         # Backlog lanes are replayed lazily; settle them whenever a run
-        # window closes so observable counters (processed events, CPU
-        # busy time) match the reference engine at every deadline.
+        # window closes so observable counters (CPU busy time, link
+        # packet counts) match the reference engine at every deadline.
         loop.add_quiesce_hook(self._settle_ingress)
 
     # ------------------------------------------------------------------
@@ -1277,12 +1153,9 @@ class Network:
         Grid-armed switch drains may still be pending for arrivals already
         due, so force-forward those first — repeatedly, because one
         switch's forwards can land in another's lanes — then replay every
-        due host backlog, then refresh the virtual armed-flush flags (a
-        lane head's ``p_ref`` may have passed without any event touching
-        the lane).
+        due host backlog.
         """
         now = self.loop._now
-        loop = self.loop
         switches = [s for s in self.switches.values() if s._lanes]
         changed = True
         while changed:
@@ -1290,26 +1163,11 @@ class Network:
             for switch in switches:
                 index = switch._index
                 if index and index[0][0] <= now:
-                    switch._drain_to(now, now)
+                    switch._drain_to(now)
                     changed = True
-        live_delta = 0
         for host in self.hosts.values():
             if host._in_armed_at is not None:
                 host._pull(now)
-            q = host._in_q
-            new = 1 if (q and q[0][1] <= now) else 0
-            if new != host._lane_live:
-                live_delta += new - host._lane_live
-                host._lane_live = new
-        for switch in switches:
-            for lane in switch._lanes:
-                q = lane.q
-                new = 1 if (q and q[0][1] <= now) else 0
-                if new != lane.ref_live:
-                    live_delta += new - lane.ref_live
-                    lane.ref_live = new
-        if live_delta:
-            loop.adjust_hidden(live_delta)
 
     def next_hop(self, src: str, dst: str) -> str:
         if self._routes_dirty:
@@ -1441,8 +1299,7 @@ class Network:
         obs = self._obs
         loop = self.loop
         # The loop never advances time, so the reference-push instant every
-        # transmit would read is the same for the whole group — and every
-        # laned push below satisfies ``p_ref <= now`` by construction.
+        # transmit would read is the same for the whole group.
         p_ref = loop._now
         # A fan-out group from one host rides one egress link for every
         # non-loopback destination (tree routing), so the lazy-sink
@@ -1484,31 +1341,24 @@ class Network:
                 sink_host = link._lazy_host
                 sink_lane = link._lazy_lane if sink_host is None else None
             if sink_host is not None:
-                # Host._ingress_push, non-empty in-order fast case inlined
-                # (p_ref = now, so the head's armed-flush mirror is live).
+                # Host._ingress_push, non-empty in-order fast case inlined.
                 hq = sink_host._in_q
                 if hq and arrival >= hq[-1][0]:
-                    hq.append((arrival, p_ref, packet))
-                    if not sink_host._lane_live:
-                        sink_host._lane_live = 1
-                        loop.adjust_hidden(1)
+                    hq.append((arrival, packet))
                 else:
-                    sink_host._ingress_push(arrival, packet, p_ref)
+                    sink_host._ingress_push(arrival, packet)
             elif sink_lane is not None:
                 # _SwitchLane.push, non-empty in-order fast case inlined.
                 lq = sink_lane.q
                 if lq and arrival >= lq[-1][0]:
                     lq.append((arrival, p_ref, packet))
-                    if not sink_lane.ref_live:
-                        sink_lane.ref_live = 1
-                        loop.adjust_hidden(1)
                     sw = sink_lane.owner
                     at = sw._drain_at
                     if at is None or at > arrival:
                         g = (int(arrival * sw._grid_inv) + 1) * sw._grid
                         if at is None or g < at:
                             sw._drain_at = g
-                            loop.schedule_hidden(g, sw._drain_cb, 5)
+                            loop.schedule_fast(g, sw._drain_cb, 5)
                 else:
                     sink_lane.push(arrival, p_ref, packet)
             else:

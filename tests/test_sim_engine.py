@@ -267,24 +267,22 @@ class _OracleStream:
     GRID = 2.0**-12
 
     def __init__(
-        self, seed, cancels=6, callback_cancels=(0, 0, 0, 0, 1), recent=None, hidden=0.0, fast=0.5
+        self, seed, cancels=6, callback_cancels=(0, 0, 0, 0, 1), recent=None, fast=0.5
     ):
         self.rng = random.Random(seed)
         self.loop = EventLoop()
         self.log = []  # key per schedule call, indexed by seq
         self.cancelled = {}  # seq -> key of the moment of its first cancel()
         self.events = []  # (seq, Event) for every schedule_at entry
-        self.hidden = set()  # seqs of schedule_hidden entries
         self.fired = []
         self.moment = (-math.inf, 0, 0)
         self.in_callback = False
         #: Cancels per window, the cancel counts a firing entry draws from, the
-        #: number of latest events cancels pick from (``None``: all), the
-        #: share of entries scheduled hidden, and of the rest, fast.
+        #: number of latest events cancels pick from (``None``: all), and the
+        #: share of entries scheduled fast.
         self.cancels = cancels
         self.callback_cancels = callback_cancels
         self.recent = recent
-        self.hidden_share = hidden
         self.fast_share = fast
 
     def schedule(self, after_slot, spread):
@@ -293,10 +291,7 @@ class _OracleStream:
         priority = rng.randrange(4)
         seq = len(self.log)
         self.log.append((when, priority, seq))
-        if self.hidden_share and rng.random() < self.hidden_share:
-            self.hidden.add(seq)
-            self.loop.schedule_hidden(when, partial(self.fire_hidden, seq), priority)
-        elif rng.random() < self.fast_share:
+        if rng.random() < self.fast_share:
             self.loop.schedule_fast(when, partial(self.fire, seq), priority)
         else:
             event = self.loop.schedule_at(when, partial(self.fire, seq), priority=priority)
@@ -309,10 +304,6 @@ class _OracleStream:
         seq, event = self.rng.choice(self.events[-self.recent :] if self.recent else self.events)
         self.cancelled.setdefault(seq, self.moment)
         event.cancel()
-
-    def fire_hidden(self, seq):
-        self.loop.adjust_hidden(1, -1)
-        self.fire(seq)
 
     def fire(self, seq):
         key = self.log[seq]
@@ -339,7 +330,7 @@ class _OracleStream:
 
     def predict(self, edge):
         """``(now, processed_events, len(loop))`` after ``run_until(edge)``."""
-        live = [key for key in self.live_keys() if key[2] not in self.hidden]
+        live = self.live_keys()
         due = sum(1 for key in live if key[0] <= edge)
         return (edge, due, len(live) - due)
 
@@ -389,11 +380,9 @@ class TestOrderOracle:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 7, 42])
     def test_order_holds_under_compaction(self, seed):
-        """Cancel-heavy streams, hidden and fast entries mixed in, cross the
-        compaction threshold many times, also from inside callbacks."""
-        stream = _OracleStream(
-            seed, cancels=100, callback_cancels=(0, 1, 2, 4), recent=60, hidden=0.1, fast=0.1
-        )
+        """Cancel-heavy streams, fast entries mixed in, cross the compaction
+        threshold many times, also from inside callbacks."""
+        stream = _OracleStream(seed, cancels=100, callback_cancels=(0, 1, 2, 4), recent=60, fast=0.2)
         loop = stream.loop
         compact = loop._compact
         compactions = []
@@ -448,6 +437,11 @@ def _heap_bounded(loop):
     return len(loop._heap) <= 2 * len(loop) + 1
 
 
+def _pending_entries(loop):
+    """Heap entries that will still fire: every entry but cancelled Events."""
+    return sum(1 for entry in loop._heap if not (isinstance(entry[3], Event) and entry[3].cancelled))
+
+
 class TestBoundedHeap:
     """Lazy cancellation keeps the heap within twice the live entries."""
 
@@ -481,7 +475,9 @@ class TestBoundedHeap:
 
     def test_raft_broadcast_canopus_keeps_heap_bounded(self):
         """Raft followers in each super-leaf re-arm their election timer on
-        every AppendEntries; the heap stays bounded at every window edge."""
+        every AppendEntries; the heap stays bounded at every window edge,
+        and ``len(loop)`` counts exactly the heap entries still to fire
+        (network helper wake-ups and drains included)."""
         topology = make_single_dc_topology(Simulator(seed=5), nodes_per_rack=3)
         sut = build_system("canopus", topology, config=CanopusConfig(broadcast_mode="raft"))
         sut.start()
@@ -494,7 +490,10 @@ class TestBoundedHeap:
                         client_id=f"c{index}", op=RequestType.WRITE, key=f"k{window}", value="v"
                     )
                 )
-            sut.simulator.run_until(window * 0.05)
+            # 1 ms edges, so some land with packets in flight.
+            for step in range(1, 51):
+                sut.simulator.run_until((window - 1) * 0.05 + step * 0.001)
+                assert len(loop) == _pending_entries(loop), (window, step)
             assert _heap_bounded(loop), (window, len(loop._heap), len(loop))
         assert len(nodes[0].committed_requests()) > 0
 
