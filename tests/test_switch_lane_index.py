@@ -146,7 +146,7 @@ class TestLaneIndexVsEagerDifferential:
         """Skewed/uniform lane loads deliver in the eager merged order."""
         import repro.sim.network as network_module
 
-        lazy_loop, lazy_trace = _drive_switch_drain_mix(3000, 5, skewed)
+        _, lazy_trace = _drive_switch_drain_mix(3000, 5, skewed)
 
         class _EagerNetwork(Network):
             """Every link addition immediately re-demotes all lanes, so the
@@ -158,7 +158,7 @@ class TestLaneIndexVsEagerDifferential:
 
         # The driver resolves Network at call time from the sim module.
         monkeypatch.setattr(network_module, "Network", _EagerNetwork)
-        eager_loop, eager_trace = _drive_switch_drain_mix(3000, 5, skewed)
+        _, eager_trace = _drive_switch_drain_mix(3000, 5, skewed)
         assert lazy_trace == eager_trace
 
 
